@@ -19,16 +19,23 @@ OBSERVED or EXPECTED).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.pxql.ast import Predicate, TRUE_PREDICATE
+from repro.core.pxql.ast import PREDICATE, Predicate, TRUE_PREDICATE
 from repro.logs.records import FeatureValue
+from repro.wire import FLOAT, INT, OBJECT, TEXT, Spec, Wire, nested, wire
+
+#: Threshold evidence on the wire: an object of named numbers.
+_EVIDENCE = Spec(
+    "an object of numbers",
+    lambda value: OBJECT.ok(value) and all(map(FLOAT.ok, value.values())),
+    dump=dict,
+)
 
 
 @dataclass(frozen=True)
-class ExplanationMetrics:
+class ExplanationMetrics(Wire):
     """Quality metrics of one explanation on one example set.
 
     ``evidence`` carries a technique's quantitative justification beyond
@@ -40,11 +47,13 @@ class ExplanationMetrics:
     normalised automatically.
     """
 
-    relevance: float
-    precision: float
-    generality: float
-    support: int
-    evidence: tuple[tuple[str, float], ...] | None = None
+    WHAT = "explanation metrics"
+
+    relevance: float = wire(FLOAT)
+    precision: float = wire(FLOAT)
+    generality: float = wire(FLOAT)
+    support: int = wire(INT)
+    evidence: tuple[tuple[str, float], ...] | None = wire(_EVIDENCE.or_null(), default=None)
 
     def __post_init__(self) -> None:
         if isinstance(self.evidence, Mapping):
@@ -76,27 +85,10 @@ class ExplanationMetrics:
         ``evidence`` is emitted (as a plain dictionary) only when present,
         so serialized metrics from evidence-free techniques are unchanged.
         """
-        data: dict[str, Any] = {
-            "relevance": self.relevance,
-            "precision": self.precision,
-            "generality": self.generality,
-            "support": self.support,
-        }
-        if self.evidence is not None:
-            data["evidence"] = dict(self.evidence)
+        data = super().to_dict()
+        if self.evidence is None:
+            del data["evidence"]
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExplanationMetrics":
-        """Rebuild metrics from their :meth:`to_dict` form."""
-        evidence = data.get("evidence")
-        return cls(
-            relevance=float(data["relevance"]),
-            precision=float(data["precision"]),
-            generality=float(data["generality"]),
-            support=int(data["support"]),
-            evidence=evidence if evidence is not None else None,
-        )
 
     def with_evidence(
         self, evidence: "Mapping[str, float] | tuple[tuple[str, float], ...]"
@@ -112,13 +104,22 @@ class ExplanationMetrics:
 
 
 @dataclass(frozen=True)
-class Explanation:
-    """A performance explanation: a despite clause and a because clause."""
+class Explanation(Wire):
+    """A performance explanation: a despite clause and a because clause.
 
-    because: Predicate
-    despite: Predicate = TRUE_PREDICATE
-    technique: str = "perfxplain"
-    metrics: ExplanationMetrics | None = None
+    Predicates serialize symbolically (one ``{feature, op, value}`` entry
+    per atom) rather than as rendered text, so the wire form round-trips
+    exactly.
+    """
+
+    WHAT = "an explanation"
+
+    because: Predicate = wire(PREDICATE)
+    despite: Predicate = wire(PREDICATE, default=TRUE_PREDICATE)
+    technique: str = wire(TEXT, default="perfxplain")
+    metrics: ExplanationMetrics | None = wire(
+        nested(ExplanationMetrics).or_null(), default=None
+    )
 
     @property
     def width(self) -> int:
@@ -137,40 +138,6 @@ class Explanation:
             technique=self.technique,
             metrics=metrics,
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-compatible form of the explanation.
-
-        Predicates serialize symbolically (one ``{feature, op, value}``
-        entry per atom) rather than as rendered text, so the result
-        round-trips exactly through :meth:`from_dict`.
-        """
-        return {
-            "technique": self.technique,
-            "despite": self.despite.to_dict(),
-            "because": self.because.to_dict(),
-            "metrics": self.metrics.to_dict() if self.metrics is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Explanation":
-        """Rebuild an explanation from its :meth:`to_dict` form."""
-        metrics = data.get("metrics")
-        return cls(
-            because=Predicate.from_dict(data["because"]),
-            despite=Predicate.from_dict(data.get("despite", [])),
-            technique=data.get("technique", "perfxplain"),
-            metrics=ExplanationMetrics.from_dict(metrics) if metrics is not None else None,
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        """The :meth:`to_dict` form rendered as a JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Explanation":
-        """Rebuild an explanation from its :meth:`to_json` form."""
-        return cls.from_dict(json.loads(text))
 
     def format(self) -> str:
         """Human-readable rendering, mirroring the paper's output form."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.logs.records import FeatureValue
+from repro.wire import ANY, TEXT, Spec, Wire, wire
 
 
 class Operator(enum.Enum):
@@ -46,13 +47,28 @@ def _values_comparable(a: Any, b: Any) -> bool:
     return type(a) is type(b)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """An atomic predicate ``feature op value``."""
+#: An operator on the wire: its canonical symbol (aliases are accepted).
+_OPERATOR = Spec(
+    "an operator symbol",
+    lambda value: isinstance(value, str),
+    Operator.from_symbol,
+    lambda operator: operator.value,
+)
 
-    feature: str
-    operator: Operator
-    value: FeatureValue
+
+@dataclass(frozen=True)
+class Comparison(Wire):
+    """An atomic predicate ``feature op value``.
+
+    Its wire form is symbolic: ``{"feature", "op", "value"}`` with the
+    operator's symbol, so operator and value types survive a round trip.
+    """
+
+    WHAT = "a comparison"
+
+    feature: str = wire(TEXT)
+    operator: Operator = wire(_OPERATOR, key="op")
+    value: FeatureValue = wire(ANY)
 
     def evaluate(self, pair_values: Mapping[str, FeatureValue]) -> bool:
         """Whether the comparison holds on a pair-feature vector.
@@ -89,19 +105,6 @@ class Comparison:
         except TypeError:
             return False
         raise AssertionError(f"unhandled operator {self.operator}")
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-compatible symbolic form: feature, operator symbol, value."""
-        return {"feature": self.feature, "op": self.operator.value, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Comparison":
-        """Rebuild a comparison from its :meth:`to_dict` form."""
-        return cls(
-            feature=data["feature"],
-            operator=Operator.from_symbol(data["op"]),
-            value=data["value"],
-        )
 
     def __str__(self) -> str:
         value = self.value
@@ -177,3 +180,11 @@ class Predicate:
 
 #: The trivially-true predicate (an omitted DESPITE clause).
 TRUE_PREDICATE = Predicate()
+
+#: A predicate on the wire: the :meth:`Predicate.to_dict` array of atoms.
+PREDICATE = Spec(
+    "an array of comparisons",
+    lambda value: isinstance(value, (list, tuple)),
+    Predicate.from_dict,
+    Predicate.to_dict,
+)

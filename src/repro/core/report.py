@@ -13,14 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from collections.abc import Mapping
+from typing import Any, Iterator
 
 from repro.core.explanation import Explanation
 from repro.core.pxql.query import PXQLQuery
+from repro.wire import FLOAT, INT, PAIR, TEXT, Wire, decode, nested, wire
 
 
 @dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(Wire):
     """One answered query: the query text, its pair and its explanation.
 
     :param query: the resolved query in PXQL text form (re-parseable).
@@ -30,21 +32,33 @@ class ReportEntry:
     :param error: set (instead of ``explanation``) when a query failed and
         the caller asked for failures to be collected rather than raised.
     :param technique: name of the technique that produced the explanation
-        (self-describing JSON: consumers need not parse the explanation).
-    :param width: the generated explanation's width (atom count).
+        (self-describing JSON: consumers need not parse the explanation);
+        defaults to the explanation's own.
+    :param width: the generated explanation's width (atom count);
+        defaults to the explanation's own.
     :param elapsed_ms: wall-clock milliseconds spent answering the query,
         as measured by whichever layer produced the entry (session batch,
         service executor, CLI).
     """
 
-    query: str
+    WHAT = "a report entry"
+
+    query: str = wire(TEXT)
+    # Written together as the one ``"pair"`` key.
     first_id: str | None = None
     second_id: str | None = None
-    explanation: Explanation | None = None
-    error: str | None = None
-    technique: str | None = None
-    width: int | None = None
-    elapsed_ms: float | None = None
+    explanation: Explanation | None = wire(nested(Explanation).or_null(), default=None)
+    error: str | None = wire(TEXT.or_null(), default=None)
+    technique: str | None = wire(TEXT.or_null(), default=None)
+    width: int | None = wire(INT.or_null(), default=None)
+    elapsed_ms: float | None = wire(FLOAT.or_null(), default=None)
+
+    def __post_init__(self) -> None:
+        if self.explanation is not None:
+            if self.technique is None:
+                object.__setattr__(self, "technique", self.explanation.technique)
+            if self.width is None:
+                object.__setattr__(self, "width", self.explanation.width)
 
     @classmethod
     def for_query(
@@ -66,8 +80,6 @@ class ReportEntry:
             second_id=query.second_id,
             explanation=explanation,
             error=error,
-            technique=explanation.technique if explanation is not None else None,
-            width=explanation.width if explanation is not None else None,
             elapsed_ms=elapsed_ms,
         )
 
@@ -78,62 +90,20 @@ class ReportEntry:
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-compatible form that round-trips via :meth:`from_dict`."""
-        return {
-            "query": self.query,
-            "pair": [self.first_id, self.second_id],
-            "explanation": (
-                self.explanation.to_dict() if self.explanation is not None else None
-            ),
-            "error": self.error,
-            # Self-describing even for hand-built entries: fall back to the
-            # explanation's own technique/width when the fields are unset.
-            "technique": (
-                self.technique
-                if self.technique is not None
-                else (self.explanation.technique if self.explanation else None)
-            ),
-            "width": (
-                self.width
-                if self.width is not None
-                else (self.explanation.width if self.explanation else None)
-            ),
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {**super().to_dict(), "pair": [self.first_id, self.second_id]}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReportEntry":
+    def from_dict(cls, data: Any) -> "ReportEntry":
         """Rebuild an entry from its :meth:`to_dict` form.
 
         Payloads written before the self-describing fields existed (no
-        ``technique``/``width``/``elapsed_ms`` keys) still parse; when an
-        old payload carries an explanation, ``technique`` and ``width``
-        are recovered from it.
+        ``pair``/``technique``/``width``/``elapsed_ms`` keys) still parse.
+
+        :raises ProtocolError: on any malformed field.
         """
-        pair = data.get("pair") or [None, None]
-        explanation_data = data.get("explanation")
-        explanation = (
-            Explanation.from_dict(explanation_data)
-            if explanation_data is not None
-            else None
-        )
-        technique = data.get("technique")
-        width = data.get("width")
-        if explanation is not None:
-            if technique is None:
-                technique = explanation.technique
-            if width is None:
-                width = explanation.width
-        elapsed_ms = data.get("elapsed_ms")
-        return cls(
-            query=data["query"],
-            first_id=pair[0],
-            second_id=pair[1],
-            explanation=explanation,
-            error=data.get("error"),
-            technique=technique,
-            width=width,
-            elapsed_ms=float(elapsed_ms) if elapsed_ms is not None else None,
-        )
+        pair = data.get("pair") if isinstance(data, Mapping) else None
+        first_id, second_id = (None, None) if pair is None else decode(cls.WHAT, "pair", PAIR, pair)
+        return super().from_dict(data, first_id=first_id, second_id=second_id)
 
 
 @dataclass

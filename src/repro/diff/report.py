@@ -2,21 +2,23 @@
 
 A :class:`DiffReport` is the wire- and CLI-facing artifact of
 :class:`repro.diff.engine.DiffEngine`.  It is a plain frozen dataclass tree
-with exact ``to_dict``/``from_dict``/``to_json``/``from_json`` round-trips
-(the same discipline as :class:`repro.core.explanation.Explanation`), so a
-report produced by a direct engine call, the service executor, the HTTP
-endpoint and the CLI serializes to byte-identical JSON.
+on the declarative codec of :mod:`repro.wire` (the same one every service
+message and :class:`repro.core.explanation.Explanation` use), so its
+``to_dict``/``from_dict``/``to_json``/``from_json`` round-trip exactly and
+decoding rejects any wrong JSON type with a
+:class:`~repro.exceptions.ProtocolError`.  A report produced by a direct
+engine call, the service executor, the HTTP endpoint and the CLI
+serializes to byte-identical JSON.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 from repro.core.explanation import Explanation
 from repro.core.pairs import raw_feature_of
-from repro.exceptions import ProtocolError
+from repro.wire import ANY, BOOL, FLOAT, INT, TEXT, Wire, array, nested, one_of, wire
 
 #: Report directions (by the ratio of median job durations, after/before).
 REGRESSION = "regression"
@@ -26,42 +28,20 @@ SIMILAR = "similar"
 _DIRECTIONS = (REGRESSION, IMPROVEMENT, SIMILAR)
 
 
-def _require_mapping(data: Any, what: str) -> Mapping[str, Any]:
-    if not isinstance(data, Mapping):
-        raise ProtocolError(f"{what} must be a JSON object, got {type(data).__name__}")
-    return data
-
-
 @dataclass(frozen=True)
-class RunSummary:
+class RunSummary(Wire):
     """Size and central tendency of one side of the diff."""
 
-    run: str
-    num_jobs: int
-    num_tasks: int
-    median_job_duration: float
+    WHAT = "a run summary"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "run": self.run,
-            "num_jobs": self.num_jobs,
-            "num_tasks": self.num_tasks,
-            "median_job_duration": self.median_job_duration,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSummary":
-        data = _require_mapping(data, "run summary")
-        return cls(
-            run=str(data["run"]),
-            num_jobs=int(data["num_jobs"]),
-            num_tasks=int(data["num_tasks"]),
-            median_job_duration=float(data["median_job_duration"]),
-        )
+    run: str = wire(TEXT)
+    num_jobs: int = wire(INT)
+    num_tasks: int = wire(INT)
+    median_job_duration: float = wire(FLOAT)
 
 
 @dataclass(frozen=True)
-class FeatureDelta:
+class FeatureDelta(Wire):
     """One feature whose distribution moved between the runs.
 
     For numeric features ``before``/``after`` are per-run medians over
@@ -71,31 +51,13 @@ class FeatureDelta:
     ``relative_change`` is ``1.0`` (changed) by construction.
     """
 
-    feature: str
-    kind: str  # "numeric" | "nominal"
-    before: Any
-    after: Any
-    relative_change: float
+    WHAT = "a feature delta"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "feature": self.feature,
-            "kind": self.kind,
-            "before": self.before,
-            "after": self.after,
-            "relative_change": self.relative_change,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FeatureDelta":
-        data = _require_mapping(data, "feature delta")
-        return cls(
-            feature=str(data["feature"]),
-            kind=str(data["kind"]),
-            before=data["before"],
-            after=data["after"],
-            relative_change=float(data["relative_change"]),
-        )
+    feature: str = wire(TEXT)
+    kind: str = wire(one_of("numeric", "nominal"))
+    before: Any = wire(ANY)
+    after: Any = wire(ANY)
+    relative_change: float = wire(FLOAT)
 
     def format(self) -> str:
         """One human-readable line."""
@@ -110,46 +72,21 @@ class FeatureDelta:
 
 
 @dataclass(frozen=True)
-class DetectorOutcome:
+class DetectorOutcome(Wire):
     """One deterministic detector's verdict on one side of the diff."""
 
-    technique: str
-    run: str
-    fired: bool
-    explanation: Explanation | None = None
-    reason: str | None = None
-    code: str | None = None
+    WHAT = "a detector outcome"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "technique": self.technique,
-            "run": self.run,
-            "fired": self.fired,
-            "explanation": (
-                None if self.explanation is None else self.explanation.to_dict()
-            ),
-            "reason": self.reason,
-            "code": self.code,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DetectorOutcome":
-        data = _require_mapping(data, "detector outcome")
-        explanation = data.get("explanation")
-        return cls(
-            technique=str(data["technique"]),
-            run=str(data["run"]),
-            fired=bool(data["fired"]),
-            explanation=(
-                None if explanation is None else Explanation.from_dict(explanation)
-            ),
-            reason=None if data.get("reason") is None else str(data["reason"]),
-            code=None if data.get("code") is None else str(data["code"]),
-        )
+    technique: str = wire(TEXT)
+    run: str = wire(TEXT)
+    fired: bool = wire(BOOL)
+    explanation: Explanation | None = wire(nested(Explanation).or_null(), default=None)
+    reason: str | None = wire(TEXT.or_null(), default=None)
+    code: str | None = wire(TEXT.or_null(), default=None)
 
 
 @dataclass(frozen=True)
-class DiffReport:
+class DiffReport(Wire):
     """What changed between two runs, and why.
 
     :param before: summary of the baseline run.
@@ -166,17 +103,24 @@ class DiffReport:
     :param deltas: config/metric features whose distributions moved.
     """
 
-    before: RunSummary
-    after: RunSummary
-    direction: str
-    duration_ratio: float
-    query: str
-    first_id: str | None = None
-    second_id: str | None = None
-    explanation: Explanation | None = None
-    explanation_error: str | None = None
-    detectors: tuple[DetectorOutcome, ...] = ()
-    deltas: tuple[FeatureDelta, ...] = field(default=())
+    TAG = "diff_report"
+    WHAT = "a diff report"
+
+    before: RunSummary = wire(nested(RunSummary))
+    after: RunSummary = wire(nested(RunSummary))
+    direction: str = wire(one_of(*_DIRECTIONS))
+    duration_ratio: float = wire(FLOAT)
+    query: str = wire(TEXT)
+    first_id: str | None = wire(TEXT.or_null(), default=None)
+    second_id: str | None = wire(TEXT.or_null(), default=None)
+    explanation: Explanation | None = wire(nested(Explanation).or_null(), default=None)
+    explanation_error: str | None = wire(TEXT.or_null(), default=None)
+    detectors: tuple[DetectorOutcome, ...] = wire(
+        array(nested(DetectorOutcome), "an array of detector outcomes"), default=()
+    )
+    deltas: tuple[FeatureDelta, ...] = wire(
+        array(nested(FeatureDelta), "an array of feature deltas"), default=()
+    )
 
     def __post_init__(self) -> None:
         if self.direction not in _DIRECTIONS:
@@ -203,62 +147,10 @@ class DiffReport:
         cited.update(delta.feature for delta in self.deltas)
         return frozenset(cited)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "type": "diff_report",
-            "before": self.before.to_dict(),
-            "after": self.after.to_dict(),
-            "direction": self.direction,
-            "duration_ratio": self.duration_ratio,
-            "query": self.query,
-            "first_id": self.first_id,
-            "second_id": self.second_id,
-            "explanation": (
-                None if self.explanation is None else self.explanation.to_dict()
-            ),
-            "explanation_error": self.explanation_error,
-            "detectors": [outcome.to_dict() for outcome in self.detectors],
-            "deltas": [delta.to_dict() for delta in self.deltas],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DiffReport":
-        data = _require_mapping(data, "diff report")
-        tag = data.get("type", "diff_report")
-        if tag != "diff_report":
-            raise ProtocolError(f"expected a diff_report payload, got {tag!r}")
-        explanation = data.get("explanation")
-        return cls(
-            before=RunSummary.from_dict(data["before"]),
-            after=RunSummary.from_dict(data["after"]),
-            direction=str(data["direction"]),
-            duration_ratio=float(data["duration_ratio"]),
-            query=str(data["query"]),
-            first_id=None if data.get("first_id") is None else str(data["first_id"]),
-            second_id=None if data.get("second_id") is None else str(data["second_id"]),
-            explanation=(
-                None if explanation is None else Explanation.from_dict(explanation)
-            ),
-            explanation_error=(
-                None
-                if data.get("explanation_error") is None
-                else str(data["explanation_error"])
-            ),
-            detectors=tuple(
-                DetectorOutcome.from_dict(entry) for entry in data.get("detectors", [])
-            ),
-            deltas=tuple(
-                FeatureDelta.from_dict(entry) for entry in data.get("deltas", [])
-            ),
-        )
-
-    def to_json(self, **kwargs: Any) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiffReport":
-        return cls.from_dict(json.loads(text))
+    # Defined here, not inherited: the benchmark's tracer finds a class's
+    # methods through the class ``__dict__``.
+    def to_json(self, indent: int | None = None) -> str:
+        return super().to_json(indent)
 
     def format(self) -> str:
         """Human-readable multi-line rendering (the CLI's text format)."""

@@ -1,5 +1,8 @@
 """Tests for the versioned request/response wire protocol."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.pxql.ast import Comparison, Operator, Predicate
@@ -27,7 +30,12 @@ from repro.service.protocol import (
     error_code_for,
     parse_request,
     parse_request_json,
+    parse_response,
     parse_response_json,
+)
+
+GOLDEN_REPORT = (
+    Path(__file__).parent.parent / "diff" / "fixtures" / "golden_report.json"
 )
 
 QUERY = "FOR JOBS ?, ?\nOBSERVED duration_compare = GT\nEXPECTED duration_compare = SIM"
@@ -84,12 +92,13 @@ class TestRequestRoundTrips:
         assert parse_request_json(batch.to_json()) == batch
 
     def test_evaluate_request(self):
-        request = EvaluateRequest(
-            log="prod", query=QUERY, widths=(0, 2), repetitions=5, seed=11,
-            techniques=("perfxplain", "ruleofthumb"),
-        )
-        assert EvaluateRequest.from_json(request.to_json()) == request
-        assert parse_request(request.to_dict()) == request
+        for techniques in (("perfxplain", "ruleofthumb"), ()):
+            request = EvaluateRequest(
+                log="prod", query=QUERY, widths=(0, 2), repetitions=5, seed=11,
+                techniques=techniques,
+            )
+            assert EvaluateRequest.from_json(request.to_json()) == request
+            assert parse_request(request.to_dict()) == request
 
     @pytest.mark.parametrize("mutation, message", [
         ({"log": ""}, "log"),
@@ -157,6 +166,59 @@ class TestResponseRoundTrips:
         rebuilt = parse_response_json(response.to_json())
         assert isinstance(rebuilt, EvaluateResponse)
         assert rebuilt.to_dict() == response.to_dict()
+
+
+def _golden_report() -> dict:
+    return json.loads(GOLDEN_REPORT.read_text())
+
+
+def _query_result(entry) -> dict:
+    return {"type": "query_result", "protocol_version": 3, "log": "x", "entry": entry}
+
+
+def _diff_result(report) -> dict:
+    return {
+        "type": "diff_result", "protocol_version": 3, "before": "a", "after": "b",
+        "report": report,
+    }
+
+
+def _report_with(**changes) -> dict:
+    return {**_golden_report(), **changes}
+
+
+class TestMalformedNestedDocuments:
+    """Malformed nested entries and reports are typed protocol errors.
+
+    Each of these once escaped response decoding as a bare ``KeyError``,
+    ``IndexError``, ``TypeError`` or ``ValueError``.
+    """
+
+    @pytest.mark.parametrize("document", [
+        _query_result({}),
+        _query_result({"query": "q", "pair": [1]}),
+        _query_result({"query": "q", "explanation": {"because": 5}}),
+        _query_result({"query": "q", "elapsed_ms": "abc"}),
+        _query_result({"query": "q", "explanation": {
+            "because": [{"feature": "f", "op": "~", "value": 1}]}}),
+        _diff_result({}),
+        _diff_result(_report_with(
+            before={**_golden_report()["before"], "num_jobs": "x"})),
+        _diff_result(_report_with(direction="sideways")),
+        _diff_result(_report_with(
+            detectors=[{**_golden_report()["detectors"][0], "fired": "false"}])),
+        {"type": ["query_result"], "protocol_version": 3},
+    ], ids=[
+        "empty-entry", "short-pair", "non-array-because", "string-elapsed",
+        "unknown-operator", "empty-report", "string-num-jobs", "unknown-direction",
+        "string-fired", "unhashable-type",
+    ])
+    def test_raises_protocol_error(self, document):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_response(document)
+        assert excinfo.value.code == ErrorCode.INVALID_REQUEST
+        with pytest.raises(ProtocolError):
+            parse_response_json(json.dumps(document))
 
 
 class TestErrorCodes:
