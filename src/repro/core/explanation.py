@@ -53,7 +53,9 @@ class ExplanationMetrics(Wire):
     precision: float = wire(FLOAT)
     generality: float = wire(FLOAT)
     support: int = wire(INT)
-    evidence: tuple[tuple[str, float], ...] | None = wire(_EVIDENCE.or_null(), default=None)
+    evidence: tuple[tuple[str, float], ...] | None = wire(
+        _EVIDENCE.or_null(), default=None
+    )
 
     def __post_init__(self) -> None:
         if isinstance(self.evidence, Mapping):

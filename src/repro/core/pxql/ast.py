@@ -29,15 +29,18 @@ class Operator(enum.Enum):
     @classmethod
     def from_symbol(cls, symbol: str) -> "Operator":
         """Parse an operator symbol (accepting common aliases)."""
-        aliases = {
-            "=": cls.EQ, "==": cls.EQ,
-            "!=": cls.NE, "<>": cls.NE, "≠": cls.NE,
-            "<": cls.LT, "<=": cls.LE, "≤": cls.LE,
-            ">": cls.GT, ">=": cls.GE, "≥": cls.GE,
-        }
-        if symbol not in aliases:
+        if symbol not in _ALIASES:
             raise ValueError(f"unknown operator symbol: {symbol!r}")
-        return aliases[symbol]
+        return _ALIASES[symbol]
+
+
+#: Every accepted operator symbol, common aliases included.
+_ALIASES = {
+    "=": Operator.EQ, "==": Operator.EQ,
+    "!=": Operator.NE, "<>": Operator.NE, "≠": Operator.NE,
+    "<": Operator.LT, "<=": Operator.LE, "≤": Operator.LE,
+    ">": Operator.GT, ">=": Operator.GE, "≥": Operator.GE,
+}
 
 
 def _values_comparable(a: Any, b: Any) -> bool:
@@ -170,7 +173,7 @@ class Predicate:
     @classmethod
     def from_dict(cls, data: Iterable[Mapping[str, Any]]) -> "Predicate":
         """Rebuild a predicate from its :meth:`to_dict` form."""
-        return cls(atoms=tuple(Comparison.from_dict(atom) for atom in data))
+        return cls(atoms=tuple(map(Comparison.from_dict, data)))
 
     def __str__(self) -> str:
         if not self.atoms:

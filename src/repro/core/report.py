@@ -90,19 +90,25 @@ class ReportEntry(Wire):
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-compatible form that round-trips via :meth:`from_dict`."""
-        return {**super().to_dict(), "pair": [self.first_id, self.second_id]}
+        data = super().to_dict()
+        data["pair"] = [self.first_id, self.second_id]
+        return data
 
     @classmethod
     def from_dict(cls, data: Any) -> "ReportEntry":
         """Rebuild an entry from its :meth:`to_dict` form.
 
         Payloads written before the self-describing fields existed (no
-        ``pair``/``technique``/``width``/``elapsed_ms`` keys) still parse.
+        ``technique``/``width``/``elapsed_ms`` keys) still parse; when an
+        old payload carries an explanation, ``technique`` and ``width``
+        are recovered from it.
 
         :raises ProtocolError: on any malformed field.
         """
-        pair = data.get("pair") if isinstance(data, Mapping) else None
-        first_id, second_id = (None, None) if pair is None else decode(cls.WHAT, "pair", PAIR, pair)
+        pair = (None, None)
+        if isinstance(data, Mapping) and data.get("pair") is not None:
+            pair = decode(cls.WHAT, "pair", PAIR, data["pair"])
+        first_id, second_id = pair
         return super().from_dict(data, first_id=first_id, second_id=second_id)
 
 

@@ -42,6 +42,7 @@ from repro.exceptions import (
 )
 from repro.logs.records import JobRecord, TaskRecord, record_from_dict, record_to_dict
 from repro.wire import (
+    ANY,
     BOOL,
     INT,
     NAME,
@@ -160,7 +161,9 @@ class Message(Wire):
     protocol_version: int = wire(INT, default=PROTOCOL_VERSION, kw_only=True)
 
     @classmethod
-    def from_dict(cls, data: Any, default_version: int | None = None, **known: Any) -> Any:
+    def from_dict(
+        cls, data: Any, default_version: int | None = None, **known: Any
+    ) -> Any:
         """Parse and validate a wire-form message.
 
         :param default_version: version inherited from an enclosing batch;
@@ -178,7 +181,7 @@ class Message(Wire):
                 )
             if check_protocol_version(version) < cls.SINCE:
                 raise ProtocolError(
-                    f"{cls.TAG} messages require protocol version {cls.SINCE} or newer",
+                    f"{cls.WHAT} requires protocol version {cls.SINCE} or newer",
                     code=ErrorCode.UNSUPPORTED_PROTOCOL,
                 )
             known["protocol_version"] = version
@@ -240,14 +243,14 @@ class BatchRequest(Message):
     )
 
     @classmethod
-    def from_dict(cls, data: Any, default_version: int | None = None) -> "BatchRequest":
-        """Parse a batch; sub-requests may omit ``protocol_version`` and
-        then inherit the batch's."""
-        batch = super().from_dict(data, default_version, requests=())
-        version = batch.protocol_version
-        inherit = Spec(QueryRequest.WHAT, OBJECT.ok, lambda item: QueryRequest.from_dict(item, version))
-        spec = array(inherit, "an array of query requests")
-        return cls(requests=decode(cls.WHAT, "requests", spec, data.get("requests")), protocol_version=version)
+    def from_dict(cls, data: Any, default_version: int | None = None) -> Any:
+        """Parse a batch; a sub-request without ``protocol_version``
+        inherits the batch's."""
+        version = super().from_dict(data, default_version, requests=()).protocol_version
+        spec = array(ANY, "an array of query requests")
+        items = decode(cls.WHAT, "requests", spec, data.get("requests"))
+        requests = tuple(QueryRequest.from_dict(item, version) for item in items)
+        return cls(requests=requests, protocol_version=version)
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,9 @@ class EvaluateRequest(Message):
 
     log: str = wire(NAME)
     query: str = wire(NAME)
-    widths: tuple[int, ...] = wire(array(INT, "an array of integers"), default=(0, 1, 2, 3))
+    widths: tuple[int, ...] = wire(
+        array(INT, "an array of integers"), default=(0, 1, 2, 3)
+    )
     repetitions: int = wire(INT, default=3)
     seed: int = wire(INT, default=0)
     techniques: tuple[str, ...] | None = wire(
@@ -380,7 +385,12 @@ class ErrorResponse(Message):
 
 
 #: Any response nested in a batch, dispatched on its own ``type`` tag.
-_RESPONSE = Spec("a response", OBJECT.ok, lambda item: parse_response(item), lambda item: item.to_dict())
+_RESPONSE = Spec(
+    "a response",
+    OBJECT.ok,
+    lambda item: parse_response(item),
+    lambda item: item.to_dict(),
+)
 
 
 @dataclass(frozen=True)
@@ -433,14 +443,19 @@ class EvaluateResponse(Message):
         return True
 
     def to_dict(self) -> dict[str, Any]:
-        return {**super().to_dict(), "pair": [self.first_id, self.second_id]}
+        data = super().to_dict()
+        data["pair"] = [self.first_id, self.second_id]
+        return data
 
     @classmethod
-    def from_dict(cls, data: Any, default_version: int | None = None) -> "EvaluateResponse":
-        first_id, second_id = (
-            decode(cls.WHAT, "pair", PAIR, data.get("pair")) if isinstance(data, Mapping) else (None, None)
+    def from_dict(cls, data: Any, default_version: int | None = None) -> Any:
+        pair = (None, None)
+        if isinstance(data, Mapping):
+            pair = decode(cls.WHAT, "pair", PAIR, data.get("pair"))
+        first_id, second_id = pair
+        return super().from_dict(
+            data, default_version, first_id=first_id, second_id=second_id
         )
-        return super().from_dict(data, default_version, first_id=first_id, second_id=second_id)
 
 
 @dataclass(frozen=True)
@@ -518,7 +533,8 @@ _RESPONSE_TYPES = {message.TAG: message for message in get_args(ServiceResponse)
 def _dispatch(data: object, types: Mapping[str, type[Message]], kind: str) -> Any:
     """Parse a request or response document, dispatching on its ``type``."""
     if not isinstance(data, Mapping):
-        raise ProtocolError(f"a service {kind} must be a JSON object, got {type(data).__name__}")
+        got = type(data).__name__
+        raise ProtocolError(f"a service {kind} must be a JSON object, got {got}")
     tag = data.get("type")
     message = types.get(tag) if isinstance(tag, str) else None
     if message is None:

@@ -27,7 +27,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Mapping
-from typing import Any, Callable, ClassVar
+from dataclasses import MISSING
+from typing import Any, Callable, ClassVar, Iterable
 
 from repro.exceptions import ProtocolError
 
@@ -36,71 +37,96 @@ def _same(value: Any) -> Any:
     return value
 
 
+#: Marks a key missing from a document.
+_ABSENT = object()
+
+
+def _skip_null(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``convert``, passing ``None`` through unchanged."""
+    if convert is _same:
+        return _same
+    return lambda value: None if value is None else convert(value)
+
+
 class Spec:
     """How one field looks on the wire.
 
     :param expect: noun phrase for error messages (``"an integer"``).
-    :param ok: whether a decoded JSON value is acceptable.
+    :param ok: whether a decoded JSON value is acceptable (default: its
+        type is one of ``plain``).
     :param load: JSON value -> attribute (may raise ``ValueError`` and
         friends, or a nested ``ProtocolError``).
     :param dump: attribute -> JSON value.
+    :param plain: exact JSON value types that are acceptable and load
+        unchanged, so decoding takes them without calling ``ok``/``load``.
     """
 
-    __slots__ = ("expect", "ok", "load", "dump")
+    __slots__ = ("expect", "ok", "load", "dump", "plain")
 
     def __init__(
         self,
         expect: str,
-        ok: Callable[[Any], bool],
+        ok: Callable[[Any], bool] | None = None,
         load: Callable[[Any], Any] = _same,
         dump: Callable[[Any], Any] = _same,
+        plain: Iterable[type] = (),
     ) -> None:
-        self.expect, self.ok, self.load, self.dump = expect, ok, load, dump
+        self.expect, self.load, self.dump = expect, load, dump
+        self.plain = frozenset(plain)
+        self.ok = ok if ok is not None else lambda value: type(value) in self.plain
 
-    def or_null(self) -> "Spec":
+    def or_null(self) -> Spec:
         """The same spec, also accepting ``null`` (kept as ``None``)."""
-        load, dump = self.load, self.dump
         return Spec(
             f"{self.expect} or null",
             lambda value: value is None or self.ok(value),
-            load if load is _same else lambda value: None if value is None else load(value),
-            dump if dump is _same else lambda value: None if value is None else dump(value),
+            _skip_null(self.load),
+            _skip_null(self.dump),
+            self.plain | {type(None)},
         )
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_object(value: Any) -> bool:
+    return type(value) is dict or isinstance(value, Mapping)
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_name(value: Any) -> bool:
+    return isinstance(value, str) and bool(value.strip())
+
+
 def _is_array(value: Any) -> bool:
     return isinstance(value, (list, tuple))
 
 
-INT = Spec("an integer", _is_int)
-FLOAT = Spec("a number", _is_number, float)
-BOOL = Spec("a boolean", lambda value: isinstance(value, bool))
-NAME = Spec("a non-empty string", lambda value: isinstance(value, str) and bool(value.strip()))
-TEXT = Spec("a string", lambda value: isinstance(value, str))
-OBJECT = Spec("an object", lambda value: isinstance(value, Mapping), dict, dict)
-ANY = Spec("any JSON value", lambda value: True)
-#: The two ids of a pair of interest, written as one ``[first, second]`` key.
-PAIR = Spec(
-    "a 2-element array of ids or nulls",
-    lambda value: _is_array(value)
-    and len(value) == 2
-    and all(item is None or isinstance(item, str) for item in value),
-    tuple,
-    list,
+def _is_pair(value: Any) -> bool:
+    if not _is_array(value) or len(value) != 2:
+        return False
+    return all(item is None or isinstance(item, str) for item in value)
+
+
+INT = Spec("an integer", plain=(int,))
+FLOAT = Spec("a number", _is_number, float, plain=(float,))
+BOOL = Spec("a boolean", plain=(bool,))
+NAME = Spec("a non-empty string", _is_name)
+TEXT = Spec("a string", plain=(str,))
+OBJECT = Spec("an object", _is_object, dict, dict)
+ANY = Spec(
+    "any JSON value",
+    lambda value: True,
+    plain=(str, int, float, bool, type(None), list, dict),
 )
+#: The two ids of a pair of interest, written together as ``[first, second]``.
+PAIR = Spec("a 2-element array of ids or nulls", _is_pair, tuple, list)
 
 
 def one_of(*values: Any) -> Spec:
     """A value from a fixed set."""
-    return Spec("one of " + ", ".join(map(repr, values)), lambda value: value in values)
+    expect = "one of " + ", ".join(map(repr, values))
+    return Spec(expect, lambda value: value in values)
 
 
 def array(item: Spec, expect: str) -> Spec:
@@ -113,46 +139,58 @@ def array(item: Spec, expect: str) -> Spec:
     )
 
 
-def nested(cls: "type[Wire]") -> Spec:
+def nested(cls: type[Wire]) -> Spec:
     """A JSON object decoded by another wire class."""
-    return Spec(
-        cls.WHAT,
-        lambda value: isinstance(value, Mapping),
-        cls.from_dict,
-        lambda value: value.to_dict(),
-    )
+    return Spec(cls.WHAT, OBJECT.ok, cls.from_dict, cls.to_dict)
 
 
-def wire(spec: Spec, default: Any = dataclasses.MISSING, *, key: str | None = None, **options: Any) -> Any:
+def wire(
+    spec: Spec, default: Any = MISSING, *, key: str | None = None, **options: Any
+) -> Any:
     """Declare a wire field; ``options`` go to :func:`dataclasses.field`.
 
     :param key: the JSON key, when it differs from the attribute name.
     """
-    return dataclasses.field(default=default, metadata={"wire": (spec, key)}, **options)
+    metadata = {"wire": (spec, key)}
+    return dataclasses.field(default=default, metadata=metadata, **options)
+
+
+def _requires(what: str, key: str, spec: Spec) -> str:
+    return f"{what} requires {key!r} to be {spec.expect}"
 
 
 def decode(what: str, key: str, spec: Spec, value: Any) -> Any:
     """Check and load one field value, or raise the field's ProtocolError."""
     if not spec.ok(value):
-        raise ProtocolError(f"{what} requires {key!r} to be {spec.expect}")
+        raise ProtocolError(_requires(what, key, spec))
     if spec.load is _same:
         return value
     try:
         return spec.load(value)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"{what} requires {key!r} to be {spec.expect}: {exc}") from exc
+        raise ProtocolError(f"{_requires(what, key, spec)}: {exc}") from exc
 
 
 def loads(text: str, what: str) -> Any:
-    """Parse a JSON document, raising ProtocolError when it is not JSON."""
+    """Parse a JSON document, raising ProtocolError when it is not JSON.
+
+    Nesting deep enough to exhaust the parser's recursion limit counts as
+    not JSON.
+    """
     try:
         return json.loads(text)
-    except (TypeError, ValueError) as exc:
+    except (RecursionError, TypeError, ValueError) as exc:
         raise ProtocolError(f"{what} is not valid JSON: {exc}") from exc
 
 
 #: One row of a class's field table: attribute, JSON key, spec, required.
 _Row = tuple[str, str, Spec, bool]
+
+
+def _row(field: dataclasses.Field) -> _Row:
+    spec, key = field.metadata["wire"]
+    required = field.default is MISSING and field.default_factory is MISSING
+    return field.name, key or field.name, spec, required
 
 
 class Wire:
@@ -167,12 +205,8 @@ class Wire:
     def _wire_table(cls) -> tuple[_Row, ...]:
         table = cls.__dict__.get("_wire_rows")
         if table is None:
-            table = tuple(
-                (f.name, f.metadata["wire"][1] or f.name, f.metadata["wire"][0],
-                 f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-                for f in dataclasses.fields(cls)  # type: ignore[arg-type]
-                if "wire" in f.metadata
-            )
+            fields = dataclasses.fields(cls)  # type: ignore[arg-type]
+            table = tuple(_row(field) for field in fields if "wire" in field.metadata)
             cls._wire_rows = table  # type: ignore[attr-defined]
         return table
 
@@ -193,16 +227,22 @@ class Wire:
 
         :raises ProtocolError: on any malformed field.
         """
-        if not isinstance(data, Mapping):
-            raise ProtocolError(f"{cls.WHAT} must be a JSON object, got {type(data).__name__}")
-        if cls.TAG is not None and data.get("type", cls.TAG) != cls.TAG:
-            raise ProtocolError(f"expected a {cls.TAG!r} message, got type {data.get('type')!r}")
+        if not _is_object(data):
+            kind = type(data).__name__
+            raise ProtocolError(f"{cls.WHAT} must be a JSON object, got {kind}")
+        tag = data.get("type", cls.TAG)
+        if cls.TAG is not None and tag != cls.TAG:
+            raise ProtocolError(f"expected a {cls.TAG!r} message, got type {tag!r}")
         for name, key, spec, required in cls._wire_table():
-            if key in data:
-                if name not in known:
-                    known[name] = decode(cls.WHAT, key, spec, data[key])
-            elif required and name not in known:
-                raise ProtocolError(f"{cls.WHAT} requires {key!r} to be {spec.expect}")
+            if name in known:
+                continue
+            value = data.get(key, _ABSENT)
+            if type(value) in spec.plain:
+                known[name] = value
+            elif value is not _ABSENT:
+                known[name] = decode(cls.WHAT, key, spec, value)
+            elif required:
+                raise ProtocolError(_requires(cls.WHAT, key, spec))
         try:
             return cls(**known)
         except (TypeError, ValueError) as exc:

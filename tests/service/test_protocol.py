@@ -130,6 +130,8 @@ class TestRequestRoundTrips:
             parse_request([1, 2, 3])
         with pytest.raises(ProtocolError):
             parse_request_json("not json at all {")
+        with pytest.raises(ProtocolError):
+            parse_request_json("[" * 100_000)
 
 
 class TestResponseRoundTrips:
