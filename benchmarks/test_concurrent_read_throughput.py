@@ -4,13 +4,14 @@ PR 9's tentpole: read traffic to a single log no longer queues on a
 per-log mutex.  Three claims, each asserted here:
 
 * **Throughput** — four service threads running a mixed warm/cold batch
-  against one log beat the same service in ``serialize_reads=True`` mode
-  (the old one-query-at-a-time behaviour) by a wall-clock floor, with
-  every response bit-identical between the two modes.  The cold queries
-  shard their candidate filtering to worker processes
-  (``pair_workers``), so reader overlap buys real parallelism: while one
-  thread waits on its shards, others answer warm hits that the old mutex
-  would have queued behind the cold query (head-of-line blocking).
+  against one log beat a baseline service whose reads take the exclusive
+  side of the lock (the old one-query-at-a-time behaviour) by a
+  wall-clock floor, with every response bit-identical between the two
+  modes.  The cold queries shard their candidate filtering to worker
+  processes (``pair_workers``), so reader overlap buys real parallelism:
+  while one thread waits on its shards, others answer warm hits that the
+  old mutex would have queued behind the cold query (head-of-line
+  blocking).
 * **Shard overlap** — two threads driving sharded-pair generations hold
   the (formerly global-lock-serialised) shard pool *together*: a barrier
   between the two in-flight generations passes, and the pool's
@@ -150,12 +151,18 @@ def _comparable(response):
     )
 
 
+class _SerializedReadService(PerfXplainService):
+    """Baseline: every read takes the exclusive write side of the lock."""
+
+    def _read_side(self, name):
+        return self.catalog.lock(name).write_locked()
+
+
 def _run_batch(log, config, mix, serialize_reads):
     catalog = LogCatalog(config=config, seed=0)
     catalog.register("live", log)
-    with PerfXplainService(
-        catalog, max_workers=SERVICE_THREADS, serialize_reads=serialize_reads
-    ) as service:
+    service_type = _SerializedReadService if serialize_reads else PerfXplainService
+    with service_type(catalog, max_workers=SERVICE_THREADS) as service:
         start = time.perf_counter()
         response = service.execute_batch(BatchRequest(requests=tuple(mix)))
         elapsed = time.perf_counter() - start

@@ -11,8 +11,11 @@ The layers, bottom to top:
   logs (in-memory or lazily loaded from disk, ``.jsonl.gz`` included),
   one shared :class:`~repro.core.api.PerfXplainSession` per log;
 * :mod:`repro.service.protocol` — the versioned request/response wire
-  protocol (``to_dict``/``from_dict``/JSON round-trip, stable error
-  codes, protocol-version validation on every request);
+  protocol: every message declares its fields on the declarative codec
+  of :mod:`repro.wire`, which derives the ``to_dict``/``from_dict``/JSON
+  round-trip and rejects any malformed document with a typed
+  ``ProtocolError``; stable error codes; protocol-version validation on
+  every request;
 * :mod:`repro.service.service` — :class:`PerfXplainService`: concurrent
   execution on a thread pool with per-log reader-writer locking — reads
   to one log overlap, appends are exclusive, and responses stay

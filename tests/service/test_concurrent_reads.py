@@ -7,8 +7,9 @@ gets its own proof here:
   are bit-identical to a fresh-session sequential oracle.
 * **Overlap** — two queries genuinely hold the read side together
   (a barrier inside two instrumented techniques passes only if both are
-  in their critical sections simultaneously), and the ``serialize_reads``
-  compatibility mode demonstrably prevents exactly that.
+  in their critical sections simultaneously), and a serialized baseline
+  service (reads on the exclusive side) demonstrably prevents exactly
+  that.
 * **Linearisability under appends** — while a log grows, every racing
   read observes either the complete pre-append state or the complete
   post-append state, never a torn mixture, and reads issued after the
@@ -193,6 +194,13 @@ def barrier_techniques():
     _BarrierExplainer.barrier = None
 
 
+class _SerializedReadService(PerfXplainService):
+    """Baseline: every read takes the exclusive write side of the lock."""
+
+    def _read_side(self, name):
+        return self.catalog.lock(name).write_locked()
+
+
 def _race_barrier_queries(service):
     requests = [
         QueryRequest(log="tiny", query=WHY_SLOWER_LOOSE, technique=name)
@@ -216,13 +224,11 @@ class TestReadOverlap:
     def test_serialize_reads_restores_mutual_exclusion(
         self, catalog, barrier_techniques
     ):
-        # The compatibility flag reverts reads to the exclusive side: the
-        # two explains can never be inside together, so the shared barrier
-        # must time out — proof the baseline really serialises.
+        # The baseline takes the exclusive side for reads: the two explains
+        # can never be inside together, so the shared barrier must time
+        # out — proof the baseline really serialises.
         _BarrierExplainer.barrier = threading.Barrier(2, timeout=1.0)
-        with PerfXplainService(
-            catalog, max_workers=4, serialize_reads=True
-        ) as service:
+        with _SerializedReadService(catalog, max_workers=4) as service:
             responses = _race_barrier_queries(service)
         assert any(isinstance(r, ErrorResponse) for r in responses)
 
