@@ -289,7 +289,10 @@ class TestSessionCacheBounds:
     """The session's caches are bounded LRUs with observable counters."""
 
     def test_cache_stats_names_every_cache(self, tiny_log):
-        session = PerfXplainSession(tiny_log)
+        # A fresh log: ``record_blocks`` reports the log's own block cache,
+        # which earlier tests warm on the shared session-scoped fixture.
+        log = ExecutionLog(jobs=list(tiny_log.jobs), tasks=list(tiny_log.tasks))
+        session = PerfXplainSession(log)
         stats = session.cache_stats()
         assert set(stats) == {
             "explanations",
