@@ -19,7 +19,7 @@ OBSERVED or EXPECTED).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.pxql.ast import PREDICATE, Predicate, TRUE_PREDICATE
