@@ -29,9 +29,12 @@ Routes:
   invalidation and compute-once counters;
 * ``GET /v1/health`` — liveness probe (reports the worker-pool size).
 
-The ``type`` tag may be omitted from POST bodies — the route implies it —
-but when present it must match the route.  :class:`ServiceClient` is the
-matching :mod:`urllib`-based client used by the CLI examples and tests.
+POST bodies are parsed by :func:`repro.wire.loads`, the parser of every
+wire document: a body that is not JSON, or nests too deep to parse, answers
+400 ``invalid_request``.  The ``type`` tag may be omitted from POST bodies —
+the route implies it — but when present it must match the route.
+:class:`ServiceClient` is the matching :mod:`urllib`-based client used by
+the CLI examples and tests.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.report import ReportEntry
 from repro.exceptions import ProtocolError, ServiceError
@@ -62,6 +65,7 @@ from repro.service.protocol import (
     parse_response_json,
 )
 from repro.service.service import PerfXplainService
+from repro.wire import loads
 
 #: HTTP status for each stable error code.
 _STATUS_FOR_CODE = {
@@ -83,6 +87,19 @@ _POST_ROUTES = {
     "/v1/batch": "batch",
     "/v1/evaluate": "evaluate",
     "/v1/diff": "diff",
+}
+
+
+def _health(service: PerfXplainService) -> dict[str, Any]:
+    return {"status": "ok", "workers": service.max_workers}
+
+
+#: GET routes: the service document each path answers with.
+_GET_ROUTES: dict[str, Callable[[PerfXplainService], dict[str, Any]]] = {
+    "/v1/health": _health,
+    "/health": _health,
+    "/v1/logs": lambda service: service.stats(),
+    "/v1/metrics": lambda service: service.metrics(),
 }
 
 
@@ -130,29 +147,15 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, ErrorResponse(code=code, message=message).to_dict())
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path in ("/v1/health", "/health"):
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "protocol_version": PROTOCOL_VERSION,
-                    "workers": self.service.max_workers,
-                },
+        route = _GET_ROUTES.get(self.path)
+        if route is None:
+            self._send_error_response(
+                404, ErrorCode.INVALID_REQUEST, f"unknown path {self.path!r}"
             )
             return
-        if self.path == "/v1/logs":
-            payload = self.service.stats()
-            payload["protocol_version"] = PROTOCOL_VERSION
-            self._send_json(200, payload)
-            return
-        if self.path == "/v1/metrics":
-            payload = self.service.metrics()
-            payload["protocol_version"] = PROTOCOL_VERSION
-            self._send_json(200, payload)
-            return
-        self._send_error_response(
-            404, ErrorCode.INVALID_REQUEST, f"unknown path {self.path!r}"
-        )
+        payload = route(self.service)
+        payload["protocol_version"] = PROTOCOL_VERSION
+        self._send_json(200, payload)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         expected = _POST_ROUTES.get(self.path)
@@ -167,7 +170,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
             raw = self.rfile.read(length) if length > 0 else b""
-            data = json.loads(raw.decode("utf-8"))
+            data = loads(raw, "the request body")
             if isinstance(data, dict) and "type" not in data:
                 data = {**data, "type": expected}
             if isinstance(data, dict) and data.get("type") != expected:
@@ -184,15 +187,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 data = {**data, "log": append_log}
             request = parse_request(data)
         except ProtocolError as error:
-            response = ErrorResponse.for_error(error)
-            self._send_json(_status_of(response), response.to_dict())
-            return
-        except (ValueError, UnicodeDecodeError) as error:
-            self._send_error_response(
-                400, ErrorCode.INVALID_REQUEST, f"invalid JSON body: {error}"
+            response: ServiceResponse = ErrorResponse.for_error(error)
+        except ValueError as error:  # a Content-Length that is not a number
+            response = ErrorResponse(
+                code=ErrorCode.INVALID_REQUEST, message=f"invalid request: {error}"
             )
-            return
-        response = self.service.execute(request)
+        else:
+            response = self.service.execute(request)
         self._send_json(_status_of(response), response.to_dict())
 
     def log_message(self, format: str, *args: Any) -> None:

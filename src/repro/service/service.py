@@ -20,9 +20,15 @@ pool, with two guarantees:
   session's explanation memoisation, a burst of identical questions —
   the common case for heavy query traffic — costs one computation.
 
-Failures never escape as exceptions: every error is folded into a wire
-:class:`~repro.service.protocol.ErrorResponse` with a stable code, so one
-code path serves programmatic callers, the CLI and the HTTP endpoint.
+Every query, evaluation, append and diff runs through one envelope,
+``PerfXplainService._run``: it refuses work on a closed service or an
+unsupported protocol version, folds every failure into a wire
+:class:`~repro.service.protocol.ErrorResponse` with a stable code (failures
+never escape as exceptions), and accounts for the request.  A refused
+request is neither counted nor timed; every request that passes the checks
+is counted in ``executed`` and timed in its kind's latency ring, whatever
+its outcome.  A batch is a container: its items are counted as queries and
+the batch keeps only its own latency ring.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import AbstractContextManager, ExitStack
-from typing import Any
+from typing import Any, Callable, get_args
 
 from repro.core.api import PerfXplain
 from repro.core.pairshard import default_shard_pool
@@ -64,7 +70,10 @@ from repro.service.metrics import LatencyRecorder
 
 #: Request types the latency recorder pre-seeds, so ``/v1/metrics`` lists
 #: every kind the service can execute even before its first sample.
-REQUEST_KINDS = ("append", "batch", "diff", "evaluate", "query")
+REQUEST_KINDS = tuple(sorted(message.TAG for message in get_args(ServiceRequest)))
+
+#: The answer to any request made after :meth:`PerfXplainService.close`.
+_CLOSED = ErrorResponse(code=ErrorCode.INVALID_REQUEST, message="the service is closed")
 
 
 def _derive_max_workers() -> int:
@@ -126,28 +135,19 @@ class PerfXplainService:
         a synchronous caller and a concurrent batch racing on the same
         question share one execution.
         """
-        if isinstance(request, QueryRequest):
-            return self.submit(request).result()
-        if isinstance(request, BatchRequest):
-            return self.execute_batch(request)
-        if isinstance(request, EvaluateRequest):
-            return self._execute_evaluate(request)
-        if isinstance(request, AppendRequest):
-            return self._execute_append(request)
-        if isinstance(request, DiffRequest):
-            return self._execute_diff(request)
-        return ErrorResponse(
-            code=ErrorCode.INVALID_REQUEST,
-            message=f"unsupported request type {type(request).__name__}",
-        )
+        route = _ROUTES.get(type(request))
+        if route is None:
+            return ErrorResponse(
+                code=ErrorCode.INVALID_REQUEST,
+                message=f"unsupported request type {type(request).__name__}",
+            )
+        return route(self, request)
 
     def submit(self, request: QueryRequest) -> "Future[ServiceResponse]":
         """Schedule one query; identical in-flight queries share a future."""
-        try:
-            self._check_open()
-            check_protocol_version(request.protocol_version)
-        except ProtocolError as error:
-            return _completed(ErrorResponse.for_error(error))
+        refusal = self._refusal(request)
+        if refusal is not None:
+            return _completed(refusal)
         key = request.canonical_key()
         with self._inflight_lock:
             existing = self._inflight.get(key)
@@ -160,150 +160,24 @@ class PerfXplainService:
                 )
             except RuntimeError:
                 # close() raced this submission and shut the pool down.
-                return _completed(
-                    ErrorResponse(
-                        code=ErrorCode.INVALID_REQUEST,
-                        message="the service is closed",
-                    )
-                )
+                return _completed(_CLOSED)
             self._inflight[key] = future
             return future
 
     def execute_batch(self, batch: BatchRequest) -> BatchResponse | ErrorResponse:
-        """Execute a batch concurrently; responses come in request order."""
-        try:
-            self._check_open()
-            check_protocol_version(batch.protocol_version)
-        except ProtocolError as error:
-            return ErrorResponse.for_error(error)
+        """Execute a batch concurrently; responses come in request order.
+
+        A batch is a container, not an execution: each item is counted and
+        timed as a query, and the batch only records its own latency ring.
+        """
+        refusal = self._refusal(batch)
+        if refusal is not None:
+            return refusal
         start = time.perf_counter()
         futures = [self.submit(request) for request in batch.requests]
         responses = tuple(future.result() for future in futures)
         self._latency.record("batch", (time.perf_counter() - start) * 1000.0)
         return BatchResponse(responses=responses)
-
-    # ------------------------------------------------------------------ #
-    # request handlers
-    # ------------------------------------------------------------------ #
-
-    def _run_query(self, key: tuple, request: QueryRequest) -> ServiceResponse:
-        try:
-            return self._execute_query(request)
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
-
-    def _execute_query(self, request: QueryRequest) -> ServiceResponse:
-        overall = time.perf_counter()
-        try:
-            session = self.catalog.session(request.log)
-            start = time.perf_counter()
-            # Read side of the per-log lock: queries to one log overlap
-            # with each other but never with an append or first load.  The
-            # session keeps concurrent readers bit-identical to sequential
-            # ones (locked caches + compute-once-per-key de-duplication).
-            with self._read_side(request.log):
-                resolved = session.resolve(request.query)
-                explanation = session.explain(
-                    resolved,
-                    width=request.width,
-                    technique=request.technique,
-                    auto_despite=request.auto_despite,
-                )
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            entry = ReportEntry.for_query(resolved, explanation, elapsed_ms=elapsed_ms)
-            response: ServiceResponse = QueryResponse(log=request.log, entry=entry)
-        except ReproError as error:
-            response = ErrorResponse.for_error(error)
-        except Exception as error:  # defensive: plugins may raise anything
-            response = ErrorResponse(
-                code=ErrorCode.INTERNAL_ERROR,
-                message=f"{type(error).__name__}: {error}",
-            )
-        with self._inflight_lock:
-            self._executed += 1
-        self._latency.record("query", (time.perf_counter() - overall) * 1000.0)
-        return response
-
-    def _execute_evaluate(self, request: EvaluateRequest) -> ServiceResponse:
-        start = time.perf_counter()
-        try:
-            check_protocol_version(request.protocol_version)
-            log = self.catalog.log(request.log)
-            with self._read_side(request.log):
-                # Evaluation builds its own facade: the sweep re-splits the
-                # log per repetition, which must not pollute (or race with)
-                # the shared query session's caches.  It only reads the
-                # served log, so it holds the read side like any query.
-                facade = PerfXplain(log, seed=request.seed)
-                query = facade.resolve(request.query)
-                if request.techniques:
-                    techniques = [
-                        facade.technique(name) for name in request.techniques
-                    ]
-                else:
-                    techniques = list(facade.techniques().values())
-                sweep = evaluate_precision_vs_width(
-                    log,
-                    query,
-                    techniques,
-                    widths=request.widths,
-                    repetitions=request.repetitions,
-                    seed=request.seed,
-                )
-            with self._inflight_lock:
-                self._executed += 1
-            self._latency.record("evaluate", (time.perf_counter() - start) * 1000.0)
-            assert query.first_id is not None and query.second_id is not None
-            return EvaluateResponse(
-                log=request.log,
-                query=str(query),
-                first_id=query.first_id,
-                second_id=query.second_id,
-                results=sweep_to_dict(sweep),
-            )
-        except ReproError as error:
-            return ErrorResponse.for_error(error)
-        except Exception as error:  # defensive: plugins may raise anything
-            return ErrorResponse(
-                code=ErrorCode.INTERNAL_ERROR,
-                message=f"{type(error).__name__}: {error}",
-            )
-
-    def _execute_append(self, request: AppendRequest) -> ServiceResponse:
-        """Grow a served log in place.
-
-        Appends are mutations, not queries: they are never deduplicated
-        (retrying a successful append is a ``duplicate_record`` error by
-        design) and run synchronously under the write side of the log's
-        reader-writer lock via :meth:`LogCatalog.append` — concurrent
-        readers drain first, and no reader observes a half-applied batch.
-        """
-        start = time.perf_counter()
-        try:
-            self._check_open()
-            check_protocol_version(request.protocol_version)
-            snapshot = self.catalog.append(
-                request.log, jobs=request.jobs, tasks=request.tasks
-            )
-            with self._inflight_lock:
-                self._executed += 1
-            self._latency.record("append", (time.perf_counter() - start) * 1000.0)
-            return AppendResponse(
-                log=request.log,
-                appended_jobs=len(request.jobs),
-                appended_tasks=len(request.tasks),
-                num_jobs=snapshot["num_jobs"],
-                num_tasks=snapshot["num_tasks"],
-                versions=snapshot["versions"],
-            )
-        except ReproError as error:
-            return ErrorResponse.for_error(error)
-        except Exception as error:  # defensive: plugins may raise anything
-            return ErrorResponse(
-                code=ErrorCode.INTERNAL_ERROR,
-                message=f"{type(error).__name__}: {error}",
-            )
 
     def diff(
         self,
@@ -317,6 +191,125 @@ class PerfXplainService:
             DiffRequest(before=before, after=after, width=width, technique=technique)
         )
 
+    # ------------------------------------------------------------------ #
+    # the execution envelope
+    # ------------------------------------------------------------------ #
+
+    def _refusal(self, request: ServiceRequest) -> ErrorResponse | None:
+        """Why the service refuses ``request`` outright, or ``None``."""
+        if self._closed:
+            return _CLOSED
+        try:
+            check_protocol_version(request.protocol_version)
+        except ProtocolError as error:
+            return ErrorResponse.for_error(error)
+        return None
+
+    def _run(
+        self, request: ServiceRequest, handler: Callable[[Any], ServiceResponse]
+    ) -> ServiceResponse:
+        """Check, run, count and time one request (the module docstring
+        states the accounting rule); a handler's exception becomes an
+        :class:`ErrorResponse`."""
+        refusal = self._refusal(request)
+        if refusal is not None:
+            return refusal
+        start = time.perf_counter()
+        try:
+            response = handler(request)
+        except ReproError as error:
+            response = ErrorResponse.for_error(error)
+        except Exception as error:  # defensive: plugins may raise anything
+            response = ErrorResponse(
+                code=ErrorCode.INTERNAL_ERROR,
+                message=f"{type(error).__name__}: {error}",
+            )
+        with self._inflight_lock:
+            self._executed += 1
+        self._latency.record(request.TAG, (time.perf_counter() - start) * 1000.0)
+        return response
+
+    # ------------------------------------------------------------------ #
+    # request handlers
+    # ------------------------------------------------------------------ #
+
+    def _run_query(self, key: tuple, request: QueryRequest) -> ServiceResponse:
+        try:
+            return self._run(request, self._execute_query)
+        finally:
+            with self._inflight_lock:
+                self._inflight.pop(key, None)
+
+    def _execute_query(self, request: QueryRequest) -> ServiceResponse:
+        session = self.catalog.session(request.log)
+        start = time.perf_counter()
+        # Read side of the per-log lock: queries to one log overlap with
+        # each other but never with an append or first load.  The session
+        # keeps concurrent readers bit-identical to sequential ones (locked
+        # caches + compute-once-per-key de-duplication).
+        with self._read_side(request.log):
+            resolved = session.resolve(request.query)
+            explanation = session.explain(
+                resolved,
+                width=request.width,
+                technique=request.technique,
+                auto_despite=request.auto_despite,
+            )
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        entry = ReportEntry.for_query(resolved, explanation, elapsed_ms=elapsed_ms)
+        return QueryResponse(log=request.log, entry=entry)
+
+    def _execute_evaluate(self, request: EvaluateRequest) -> ServiceResponse:
+        log = self.catalog.log(request.log)
+        with self._read_side(request.log):
+            # Evaluation builds its own facade: the sweep re-splits the log
+            # per repetition, which must not pollute (or race with) the
+            # shared query session's caches.  It only reads the served log,
+            # so it holds the read side like any query.
+            facade = PerfXplain(log, seed=request.seed)
+            query = facade.resolve(request.query)
+            if request.techniques:
+                techniques = [facade.technique(name) for name in request.techniques]
+            else:
+                techniques = list(facade.techniques().values())
+            sweep = evaluate_precision_vs_width(
+                log,
+                query,
+                techniques,
+                widths=request.widths,
+                repetitions=request.repetitions,
+                seed=request.seed,
+            )
+        assert query.first_id is not None and query.second_id is not None
+        return EvaluateResponse(
+            log=request.log,
+            query=str(query),
+            first_id=query.first_id,
+            second_id=query.second_id,
+            results=sweep_to_dict(sweep),
+        )
+
+    def _execute_append(self, request: AppendRequest) -> ServiceResponse:
+        """Grow a served log in place.
+
+        Appends are mutations, not queries: they are never deduplicated
+        (retrying a successful append is a ``duplicate_record`` error by
+        design) and run synchronously under the write side of the log's
+        reader-writer lock via :meth:`LogCatalog.append` — concurrent
+        readers drain first, and no reader observes a half-applied batch.
+        """
+        snapshot = self.catalog.append(
+            request.log, jobs=request.jobs, tasks=request.tasks
+        )
+        return AppendResponse(
+            log=request.log,
+            appended_jobs=len(request.jobs),
+            appended_tasks=len(request.tasks),
+            num_jobs=snapshot["num_jobs"],
+            num_tasks=snapshot["num_tasks"],
+            versions=snapshot["versions"],
+        )
+
     def _execute_diff(self, request: DiffRequest) -> ServiceResponse:
         """Run a cross-log diff over two served logs.
 
@@ -328,39 +321,23 @@ class PerfXplainService:
         writer-preferring, so a queued append between two read acquisitions
         of the same lock would deadlock a re-entrant reader.
         """
-        start = time.perf_counter()
-        try:
-            self._check_open()
-            check_protocol_version(request.protocol_version)
-            # Resolve (and lazily load) both logs before taking the read
-            # sides: first load takes the entry's write side internally.
-            before_log = self.catalog.log(request.before)
-            after_log = self.catalog.log(request.after)
-            with ExitStack() as stack:
-                for name in sorted({request.before, request.after}):
-                    stack.enter_context(self._read_side(name))
-                engine = DiffEngine(
-                    before_log,
-                    after_log,
-                    config=self.catalog.config,
-                    seed=self.catalog.seed,
-                    technique=request.technique,
-                    width=request.width,
-                )
-                report = engine.report()
-            with self._inflight_lock:
-                self._executed += 1
-            self._latency.record("diff", (time.perf_counter() - start) * 1000.0)
-            return DiffResponse(
-                before=request.before, after=request.after, report=report
+        # Resolve (and lazily load) both logs before taking the read sides:
+        # first load takes the entry's write side internally.
+        before_log = self.catalog.log(request.before)
+        after_log = self.catalog.log(request.after)
+        with ExitStack() as stack:
+            for name in sorted({request.before, request.after}):
+                stack.enter_context(self._read_side(name))
+            engine = DiffEngine(
+                before_log,
+                after_log,
+                config=self.catalog.config,
+                seed=self.catalog.seed,
+                technique=request.technique,
+                width=request.width,
             )
-        except ReproError as error:
-            return ErrorResponse.for_error(error)
-        except Exception as error:  # defensive: plugins may raise anything
-            return ErrorResponse(
-                code=ErrorCode.INTERNAL_ERROR,
-                message=f"{type(error).__name__}: {error}",
-            )
+            report = engine.report()
+        return DiffResponse(before=request.before, after=request.after, report=report)
 
     # ------------------------------------------------------------------ #
     # introspection and lifecycle
@@ -369,7 +346,8 @@ class PerfXplainService:
     def stats(self) -> dict[str, Any]:
         """Service counters plus the per-log catalog snapshot.
 
-        ``executed`` counts requests that actually ran; ``deduplicated``
+        ``executed`` counts requests that passed the envelope's checks,
+        failed ones included (a batch's items, not the batch); ``deduplicated``
         counts submissions that piggybacked on an identical in-flight
         query; ``logs`` is :meth:`LogCatalog.describe`, whose per-log
         ``cache_stats`` expose each session's hit/miss/eviction counters.
@@ -401,14 +379,12 @@ class PerfXplainService:
         report["shard_pool"] = default_shard_pool().stats()
         return report
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ProtocolError(
-                "the service is closed", code=ErrorCode.INVALID_REQUEST
-            )
-
     def close(self) -> None:
-        """Stop accepting work and wait for in-flight queries to finish."""
+        """Stop accepting work and wait for running requests to finish.
+
+        Queries still queued in the pool are answered "the service is
+        closed" by the envelope, like any request made after this call.
+        """
         self._closed = True
         self._pool.shutdown(wait=True)
 
@@ -423,3 +399,15 @@ def _completed(response: ServiceResponse) -> "Future[ServiceResponse]":
     future: "Future[ServiceResponse]" = Future()
     future.set_result(response)
     return future
+
+
+#: How :meth:`PerfXplainService.execute` runs each request type.  Methods
+#: are looked up on the service at call time, so a wrapped handler is the
+#: one that runs.
+_ROUTES: dict[type, Callable[[PerfXplainService, Any], ServiceResponse]] = {
+    QueryRequest: lambda self, request: self.submit(request).result(),
+    BatchRequest: lambda self, request: self.execute_batch(request),
+    EvaluateRequest: lambda self, request: self._run(request, self._execute_evaluate),
+    AppendRequest: lambda self, request: self._run(request, self._execute_append),
+    DiffRequest: lambda self, request: self._run(request, self._execute_diff),
+}

@@ -171,11 +171,11 @@ def decode(what: str, key: str, spec: Spec, value: Any) -> Any:
         raise ProtocolError(f"{_requires(what, key, spec)}: {exc}") from exc
 
 
-def loads(text: str, what: str) -> Any:
+def loads(text: str | bytes, what: str) -> Any:
     """Parse a JSON document, raising ProtocolError when it is not JSON.
 
     Nesting deep enough to exhaust the parser's recursion limit counts as
-    not JSON.
+    not JSON, and so do bytes that :func:`json.loads` cannot decode.
     """
     try:
         return json.loads(text)

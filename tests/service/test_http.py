@@ -111,8 +111,11 @@ class TestErrorStatuses:
         assert status == 400
         assert payload["code"] == ErrorCode.UNSUPPORTED_PROTOCOL
 
-    def test_invalid_json_body_is_400(self, server):
-        status, payload = _post_raw(server.url, "/v1/query", b"{broken json")
+    @pytest.mark.parametrize(
+        "body", [b"{broken json", b"[" * 100000], ids=["broken", "over-deep"]
+    )
+    def test_invalid_json_body_is_400(self, server, body):
+        status, payload = _post_raw(server.url, "/v1/query", body)
         assert status == 400
         assert payload["code"] == ErrorCode.INVALID_REQUEST
 

@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.api import PerfXplainSession
 from repro.service import (
+    AppendRequest,
     BatchRequest,
     BatchResponse,
+    DiffRequest,
     ErrorCode,
     ErrorResponse,
     EvaluateRequest,
@@ -18,6 +20,7 @@ from repro.service import (
     QueryRequest,
     QueryResponse,
 )
+from repro.service.service import REQUEST_KINDS
 
 WHY_SLOWER = """
     FOR JOBS ?, ?
@@ -113,11 +116,41 @@ class TestSingleQuery:
         assert isinstance(response, ErrorResponse)
         assert response.code == ErrorCode.UNKNOWN_TECHNIQUE
 
-    def test_closed_service_refuses_work(self, catalog):
+
+def _request_of_kind(kind, log):
+    """One request of each kind, aimed at ``log``."""
+    query = QueryRequest(log=log, query=WHY_SLOWER_LOOSE)
+    return {
+        "query": query,
+        "batch": BatchRequest(requests=(query,)),
+        "evaluate": EvaluateRequest(log=log, query=WHY_SLOWER, repetitions=1),
+        "append": AppendRequest(log=log),
+        "diff": DiffRequest(before=log, after=log),
+    }[kind]
+
+
+class TestEnvelope:
+    """Every request kind is refused, failed and accounted the same way."""
+
+    @pytest.mark.parametrize("kind", REQUEST_KINDS)
+    def test_closed_service_refuses_work(self, catalog, kind):
         service = PerfXplainService(catalog)
         service.close()
-        response = service.execute(QueryRequest(log="tiny", query=WHY_SLOWER_LOOSE))
+        response = service.execute(_request_of_kind(kind, "tiny"))
         assert isinstance(response, ErrorResponse)
+        assert response.code == ErrorCode.INVALID_REQUEST
+        assert service.stats()["executed"] == 0
+
+    @pytest.mark.parametrize("kind", ["query", "evaluate", "append", "diff"])
+    def test_failed_request_is_counted_and_timed(self, service, kind):
+        before = service.metrics()
+        response = service.execute(_request_of_kind(kind, "absent"))
+        assert isinstance(response, ErrorResponse)
+        assert response.code == ErrorCode.UNKNOWN_LOG
+        after = service.metrics()
+        assert after["executed"] - before["executed"] == 1
+        samples = [report["latency_ms"][kind]["count"] for report in (before, after)]
+        assert samples[1] - samples[0] == 1
 
 
 class TestBatchExecution:
