@@ -24,6 +24,8 @@ from __future__ import annotations
 import os
 import time
 
+import repro.workloads.runner
+from repro.cluster.engineref import ReferenceSimulationEngine
 from repro.units import MB
 from repro.workloads.grid import ParameterGrid, build_experiment_log
 
@@ -43,13 +45,17 @@ CONTENDED_GRID = ParameterGrid(
 )
 
 
-def test_event_engine_beats_reference_on_contended_sweep(benchmark):
-    start = time.perf_counter()
-    reference_log = build_experiment_log(CONTENDED_GRID, seed=7, engine="reference")
-    reference_seconds = time.perf_counter() - start
+def test_event_engine_beats_reference_on_contended_sweep(benchmark, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            repro.workloads.runner, "SimulationEngine", ReferenceSimulationEngine
+        )
+        start = time.perf_counter()
+        reference_log = build_experiment_log(CONTENDED_GRID, seed=7)
+        reference_seconds = time.perf_counter() - start
 
     def sweep_event_engine():
-        return build_experiment_log(CONTENDED_GRID, seed=7, engine="event")
+        return build_experiment_log(CONTENDED_GRID, seed=7)
 
     event_log = benchmark.pedantic(sweep_event_engine, rounds=1, iterations=1)
     event_seconds = benchmark.stats.stats.mean

@@ -39,12 +39,6 @@ class TestGenerateLog:
                      "--output", str(path)]) == 0
         assert ExecutionLog.load(path).num_tasks == 0
 
-    def test_reference_engine_flag_builds_identical_log(self, log_path, tmp_path):
-        path = tmp_path / "reference.json"
-        assert main(["generate-log", "--grid", "tiny", "--seed", "11",
-                     "--engine", "reference", "--output", str(path)]) == 0
-        assert ExecutionLog.load(path).to_json() == ExecutionLog.load(log_path).to_json()
-
 
 class TestGenerateScenario:
     def test_scenario_log_is_stamped(self, tmp_path):
