@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence
 
 from operator import and_, gt
@@ -444,24 +444,20 @@ def evaluate_feature_levels(
     base_config: PerfXplainConfig | None = None,
     max_eval_pairs: int | None = 200_000,
 ) -> SweepResult:
-    """Figure 4(c): PerfXplain precision when restricted to each feature level."""
+    """Figure 4(c): PerfXplain precision when restricted to each feature level.
+
+    Every level keeps the rest of ``base_config``, and explanations are
+    measured under its pair encoding (``base_config.pair_config``).
+    """
     base_config = base_config if base_config is not None else PerfXplainConfig()
     techniques = []
     for level in levels:
-        config = PerfXplainConfig(
-            width=base_config.width,
-            score_weight=base_config.score_weight,
-            sample_size=base_config.sample_size,
-            feature_level=level,
-            pair_config=base_config.pair_config,
-            min_examples=base_config.min_examples,
-        )
-        explainer = PerfXplainExplainer(config)
+        explainer = PerfXplainExplainer(replace(base_config, feature_level=level))
         explainer.name = f"PerfXplain-level{int(level)}"
         techniques.append(explainer)
     return evaluate_precision_vs_width(
         log, query, techniques, widths=widths, repetitions=repetitions, seed=seed,
-        max_eval_pairs=max_eval_pairs,
+        pair_config=base_config.pair_config, max_eval_pairs=max_eval_pairs,
     )
 
 

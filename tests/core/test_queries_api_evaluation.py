@@ -17,8 +17,11 @@ from repro.core.evaluation import (
     relevance_of_user_despite,
     split_for_repetition,
 )
-from repro.core.explainer import PerfXplainExplainer
+from repro.core.explainer import PerfXplainConfig, PerfXplainExplainer
+from repro.core.examples import records_for_query
 from repro.core.explanation import Explanation, ExplanationMetrics
+from repro.core.features import FeatureLevel, infer_schema
+from repro.core.pairs import PairFeatureConfig
 from repro.core.pxql.ast import TRUE_PREDICATE
 from repro.core.pxql.parser import parse_predicate
 from repro.core.queries import (
@@ -241,6 +244,26 @@ class TestEvaluationSweeps:
         )
         names = set(sweep.techniques())
         assert names == {"PerfXplain-level1", "PerfXplain-level2", "PerfXplain-level3"}
+
+    def test_feature_level_sweep_measures_under_base_pair_config(self, tiny_log):
+        query = why_slower_despite_same_num_instances()
+        pair = find_pair_of_interest(
+            tiny_log, query, schema=infer_schema(tiny_log.jobs), rng=random.Random(0)
+        )
+        query = query.with_pair(*pair)
+        pair_config = PairFeatureConfig(sim_threshold=0.3)
+        sweep = evaluate_feature_levels(
+            tiny_log, query, levels=(FeatureLevel.FULL,), widths=(2,),
+            repetitions=1, seed=1, base_config=PerfXplainConfig(pair_config=pair_config),
+        )
+        (run,) = sweep.select("PerfXplain-level3", 2)
+        _, test = split_for_repetition(tiny_log, query, 0, 1)
+        expected = measure_on_log(
+            run.explanation, query, test,
+            schema=infer_schema(records_for_query(test, query)), config=pair_config,
+            max_candidate_pairs=200_000, rng=random.Random(1),
+        )
+        assert run.metrics == expected
 
     def test_precision_generality_points(self, small_log, job_query):
         sweep = evaluate_precision_vs_width(
