@@ -21,7 +21,12 @@ The layers, bottom to top:
   to one log overlap, appends are exclusive, and responses stay
   bit-identical to direct synchronous session calls — plus in-flight
   deduplication of identical queries and per-request-type latency
-  metrics;
+  metrics.  Every request runs through one execution envelope with one
+  accounting rule: a request refused by its checks (closed service,
+  unsupported version) is neither counted nor timed; every request that
+  passes them is counted in ``executed`` and timed in its kind's latency
+  ring, whatever its outcome; a batch's items are counted, and the batch
+  keeps only its own latency ring;
 * :mod:`repro.service.http` — a stdlib ``http.server`` JSON endpoint
   (:class:`PerfXplainHTTPServer`) and the matching
   :class:`ServiceClient`, also available from the command line as
